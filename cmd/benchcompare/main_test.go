@@ -96,3 +96,47 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatalf("missing file exited %d, want 1", code)
 	}
 }
+
+func TestCompareRunsReportsRemovedBenchmarks(t *testing.T) {
+	old := rec("before", map[string]float64{
+		"BenchmarkForestFit/n=20000":           200e6,
+		"BenchmarkForestFit/n=20000/workers=4": 90e6,
+		"BenchmarkServe/route":                 1e3,
+	})
+	new := rec("after", map[string]float64{
+		"BenchmarkForestFit/n=20000": 190e6,
+	})
+	rows, regressions := compareRuns(old, new, []string{"BenchmarkForestFit"}, 1.10)
+	if len(regressions) != 0 {
+		t.Fatalf("removed benchmarks reported as regressions: %v", regressions)
+	}
+	byName := map[string]row{}
+	for _, r := range rows {
+		byName[r.name] = r
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %+v, want the kept benchmark plus two removed ones", rows)
+	}
+	if r := byName["BenchmarkForestFit/n=20000/workers=4"]; !r.removed || !r.hot || r.oldNs != 90e6 {
+		t.Fatalf("dropped hot benchmark row = %+v, want removed, hot, old ns kept", r)
+	}
+	if r := byName["BenchmarkServe/route"]; !r.removed || r.hot {
+		t.Fatalf("dropped cold benchmark row = %+v, want removed, not hot", r)
+	}
+	if r := byName["BenchmarkForestFit/n=20000"]; r.removed || r.newRow {
+		t.Fatalf("paired benchmark row = %+v", r)
+	}
+
+	dir := t.TempDir()
+	data, err := json.Marshal([]runRecord{old, new})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "removed.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{path}, []string{"BenchmarkForestFit"}, 1.10); code != 0 {
+		t.Fatalf("compare with removed benchmarks exited %d, want 0", code)
+	}
+}

@@ -63,10 +63,6 @@ func Fingerprint(vs *timeseries.VehicleSeries, start time.Time) uint64 {
 // configuration — different window, candidates, seed, ... — refuses to
 // reuse the old models instead of silently serving a mixed-config
 // fleet: the series fingerprints alone cannot see a config change.
-//
-// FitWorkers is deliberately NOT hashed: it is an execution knob with
-// bit-identical results for every value, so a snapshot trained with a
-// different worker count must stay reusable.
 func (c PredictorConfig) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvUint64(h, uint64(c.Window))
@@ -82,7 +78,11 @@ func (c PredictorConfig) Hash() uint64 {
 	h = fnvString(h, string(c.ColdStartAlgorithm))
 	h = fnvUint64(h, math.Float64bits(c.ValidationFraction))
 	h = fnvUint64(h, c.Seed)
-	h = fnvUint64(h, uint64(c.Bins))
+	// This slot held the removed fleet-level Bins knob, which was 0 in
+	// every shipped configuration. Hashing a constant 0 keeps the hash
+	// byte-stable, so snapshots spilled before the knob went still
+	// restore instead of forcing a full retrain.
+	h = fnvUint64(h, 0)
 	// Normalize the evaluation set the same way NewFleetPredictor does
 	// (nil means the default D̃), then fold it in sorted order so two
 	// equal sets hash equally.

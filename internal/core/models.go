@@ -49,15 +49,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // cannot be built here because it needs the utilization series, not a
 // parameter set — use BaselineFromSeries.
 func Build(alg Algorithm, p ml.Params, seed uint64) (ml.Regressor, error) {
-	return BuildWithOptions(alg, p, seed, ml.FitOptions{})
-}
-
-// BuildWithOptions is Build plus execution options: opts.Workers flows
-// into the tree ensembles' intra-fit worker budget. Options never alter
-// the fitted model — results are bit-identical for every Workers value
-// — which is why they ride beside the hyper-parameters instead of
-// inside them (and stay out of PredictorConfig.Hash).
-func BuildWithOptions(alg Algorithm, p ml.Params, seed uint64, opts ml.FitOptions) (ml.Regressor, error) {
 	get := func(key string, def float64) float64 {
 		if v, ok := p[key]; ok {
 			return v
@@ -76,12 +67,7 @@ func BuildWithOptions(alg Algorithm, p ml.Params, seed uint64, opts ml.FitOption
 			NEstimators:    int(get("estimators", 100)),
 			MaxDepth:       int(get("depth", 0)),
 			MinSamplesLeaf: int(get("min_leaf", 1)),
-			// bins > 1 opts the member trees into the approximate
-			// histogram split engine; 0 keeps the exact presorted
-			// engine (the default, bit-identical to classic CART).
-			Bins:    int(get("bins", 0)),
-			Seed:    seed,
-			Workers: opts.Workers,
+			Seed:           seed,
 		}), nil
 	case XGB:
 		return gbm.New(gbm.Config{
@@ -90,34 +76,13 @@ func BuildWithOptions(alg Algorithm, p ml.Params, seed uint64, opts ml.FitOption
 			MaxDepth:        int(get("depth", 6)),
 			MinChildSamples: int(get("min_child", 5)),
 			Lambda:          get("lambda", 1.0),
-			// bins caps the histogram resolution; 0 falls back to the
-			// package default (256).
-			MaxBins: int(get("bins", 0)),
-			Seed:    seed,
-			Workers: opts.Workers,
+			Seed:            seed,
 		}), nil
 	case BL:
 		return nil, fmt.Errorf("core: the baseline is built from the utilization series (BaselineFromSeries), not from parameters")
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
 	}
-}
-
-// ApplyBins folds a fleet-level histogram resolution into a parameter
-// set: when bins > 1 and the set does not already pin "bins", a copy
-// carrying it is returned (the input is never mutated — parameter sets
-// are shared across folds and configurations). Algorithms without a
-// binned engine ignore the key.
-func ApplyBins(p ml.Params, bins int) ml.Params {
-	if bins <= 1 {
-		return p
-	}
-	if _, ok := p["bins"]; ok {
-		return p
-	}
-	c := p.Clone()
-	c["bins"] = float64(bins)
-	return c
 }
 
 // DefaultParams returns fixed, well-performing parameters used when no

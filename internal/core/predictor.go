@@ -30,21 +30,6 @@ type PredictorConfig struct {
 	Eval DTilde
 	// Seed drives model randomness.
 	Seed uint64
-	// FitWorkers caps the intra-fit worker budget of every model built
-	// for this predictor (tree split searches, forest members, boosting
-	// histogram scans). 0 or 1 fits serially. It is an execution knob
-	// only: results are bit-identical for every value, which is why it
-	// is deliberately excluded from Hash() — a snapshot trained with a
-	// different worker count is still byte-for-byte reusable.
-	FitWorkers int
-	// Bins is the fleet-level histogram resolution for the tree
-	// ensembles (RF member trees, XGB stages): when > 1, every model
-	// built for this predictor trains on quantile-binned features at
-	// this resolution unless its parameter set pins "bins" itself. 0
-	// keeps the per-algorithm defaults (exact splits for RF, 256 bins
-	// for XGB). Unlike FitWorkers this changes the fitted models, so it
-	// IS part of Hash().
-	Bins int
 }
 
 // DefaultPredictorConfig mirrors the paper's deployed setup: all trained
@@ -202,8 +187,8 @@ type TrainTask struct {
 // unified-model fit), alg is the algorithm the time was spent in.
 // Observers are called from whatever goroutine runs the task, so they
 // must be safe for concurrent use and cheap — the obs histograms are
-// both. A nil observer costs one branch. Like FitWorkers, the observer
-// is an execution-side knob with no effect on trained models.
+// both. A nil observer costs one branch. The observer is an
+// execution-side hook with no effect on trained models.
 type StageObserver func(stage string, alg Algorithm, seconds float64)
 
 // observe records the time since t0 when an observer is installed.
@@ -247,7 +232,7 @@ func (sh *TrainShared) Unified() (ml.Regressor, error) {
 			return
 		}
 		t0 := time.Now()
-		cs := ColdStartConfig{Window: sh.cfg.Window, Normalize: sh.cfg.Normalize, Seed: sh.seed, FitWorkers: sh.cfg.FitWorkers, Bins: sh.cfg.Bins}
+		cs := ColdStartConfig{Window: sh.cfg.Window, Normalize: sh.cfg.Normalize, Seed: sh.seed}
 		sh.unified, sh.err = TrainUnified(sh.olds, sh.cfg.ColdStartAlgorithm, cs)
 		if sh.err == nil {
 			sh.Observe.observe("fit", sh.cfg.ColdStartAlgorithm, t0)
@@ -385,8 +370,6 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 	cfg.Eval = pcfg.Eval
 	cfg.RestrictTrain = true // Table 1: restriction is strictly better
 	cfg.Seed = seed
-	cfg.FitWorkers = pcfg.FitWorkers
-	cfg.Bins = pcfg.Bins
 
 	bestScore := math.Inf(1)
 	var bestAlg Algorithm
@@ -424,7 +407,7 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 			return VehicleStatus{}, nil, err
 		}
 	}
-	model, err := BuildWithOptions(bestAlg, ApplyBins(DefaultParams(bestAlg), pcfg.Bins), seed, ml.FitOptions{Workers: pcfg.FitWorkers})
+	model, err := Build(bestAlg, DefaultParams(bestAlg), seed)
 	if err != nil {
 		return VehicleStatus{}, nil, err
 	}
@@ -438,7 +421,7 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 
 func trainSemiNew(vs *timeseries.VehicleSeries, shared *TrainShared, seed uint64) (VehicleStatus, ml.Regressor, error) {
 	pcfg := shared.cfg
-	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: seed, FitWorkers: pcfg.FitWorkers, Bins: pcfg.Bins}
+	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: seed}
 	if olds := shared.Olds(); len(olds) > 0 {
 		t0 := time.Now()
 		model, donor, err := TrainSimilarityForLive(vs, olds, pcfg.ColdStartAlgorithm, cs)
@@ -494,7 +477,7 @@ func TrainSimilarityForLive(test *timeseries.VehicleSeries, train []*timeseries.
 	if params == nil {
 		params = DefaultParams(alg)
 	}
-	model, err := BuildWithOptions(alg, ApplyBins(params, cfg.Bins), cfg.Seed, ml.FitOptions{Workers: cfg.FitWorkers})
+	model, err := Build(alg, params, cfg.Seed)
 	if err != nil {
 		return nil, "", err
 	}

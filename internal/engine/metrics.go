@@ -61,7 +61,7 @@ func (m *TrainMetrics) Write(w *obs.TextWriter) {
 // subtraction, and how often quantile binnings were rebuilt vs. served
 // from a matrix's cache. The subtract/fill cell ratio is the payoff of
 // the subtraction trick; builds/reuses the payoff of sharing one binned
-// layout across trees, boosting rounds and grid configurations.
+// layout across boosting rounds and grid configurations.
 func writeHistStats(w *obs.TextWriter) {
 	hs := ml.HistStatsSnapshot()
 	w.CounterUint("fleet_ml_hist_fill_rows_total",

@@ -7,7 +7,7 @@ import (
 )
 
 // ColMatrix is an immutable column-major view of a design matrix, the
-// shared substrate of the tree learners' split-finding engine. It is
+// shared substrate of the tree learners' split-finding engines. It is
 // built once per training set and carries two lazily computed, cached
 // derived representations:
 //
@@ -15,8 +15,8 @@ import (
 //     exact split finder partitions copies of these down the tree, so
 //     no node ever sorts;
 //   - Bin: per-feature ≤256-bucket quantile binnings (uint8 codes plus
-//     raw-space upper edges) — the histogram split finder scans these
-//     in O(bins) per node.
+//     raw-space upper edges) — the boosting engine's histogram split
+//     finder scans these in O(bins) per node.
 //
 // Both caches are safe for concurrent use, so one matrix can back many
 // trees (a forest's bootstraps, every GBM boosting round, every grid
@@ -31,10 +31,10 @@ type ColMatrix struct {
 }
 
 // Binned is one quantile-binned representation of a ColMatrix: the
-// binned-row layout the histogram split engines train from. It is
+// binned-row layout the boosting engine trains from. It is
 // computed once per (matrix, resolution) and shared read-only by every
-// tree of a forest, every GBM boosting round, and every grid-search
-// configuration at the same resolution.
+// GBM boosting round and every grid-search configuration at the same
+// resolution.
 type Binned struct {
 	// Cols holds one uint8 bin code per (feature, row), column-major.
 	Cols [][]uint8

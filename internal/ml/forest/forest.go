@@ -7,9 +7,8 @@
 // bootstrap resampling and per-split feature subsampling, and trained
 // concurrently with one deterministic RNG sub-stream per tree. All
 // trees share one column-major matrix (ml.ColMatrix): features are
-// presorted (or binned) exactly once per Fit, and each bootstrap is
-// expressed as per-row multiplicities instead of materialized duplicate
-// rows.
+// presorted exactly once per Fit, and each bootstrap is expressed as
+// per-row multiplicities instead of materialized duplicate rows.
 package forest
 
 import (
@@ -43,20 +42,6 @@ type Config struct {
 	// sample is scored by the trees whose bootstrap missed it, giving
 	// a generalization estimate without a holdout set.
 	ComputeOOB bool
-	// Bins opts every member tree into the approximate histogram split
-	// engine with at most Bins quantile buckets (2..256); 0 keeps the
-	// exact presorted engine.
-	Bins int
-	// Workers bounds the fit's total parallelism
-	// (ml.FitOptions.Workers): it caps the across-tree pool, and when
-	// it exceeds NEstimators the surplus flows into each tree as
-	// intra-fit workers (tree.Config.Workers) so a small ensemble on a
-	// big machine still saturates it. 0 keeps the historical default of
-	// GOMAXPROCS across-tree workers. The fitted forest is
-	// bit-identical for every value: tree seeds derive from sequential
-	// sub-streams regardless of scheduling, and a single tree's fit is
-	// worker-count-invariant.
-	Workers int
 }
 
 // DefaultConfig returns a balanced forest configuration.
@@ -80,16 +65,6 @@ type Model struct {
 var _ ml.Regressor = (*Model)(nil)
 var _ ml.MatrixFitter = (*Model)(nil)
 var _ ml.BatchPredictor = (*Model)(nil)
-var _ ml.BinsHinter = (*Model)(nil)
-
-// BinsHint reports the quantile-binning resolution this configuration's
-// trees train at (ml.BinsHinter); ≤ 1 means exact splits, no binning.
-func (m *Model) BinsHint() int {
-	if m.Bins > 256 {
-		return 256
-	}
-	return m.Bins
-}
 
 // New returns an unfitted forest with the given configuration.
 func New(cfg Config) *Model {
@@ -115,7 +90,7 @@ func (m *Model) Fit(x [][]float64, y []float64) error {
 }
 
 // FitMatrix trains the forest from a prebuilt column matrix, reusing
-// its cached presorted orders (or binnings) across every tree — and,
+// its cached presorted orders across every tree — and,
 // when the matrix is shared further (grid search folds), across every
 // configuration evaluated on it.
 func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
@@ -131,13 +106,9 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 		return fmt.Errorf("forest: MaxFeatures %d exceeds feature count %d", maxFeat, p)
 	}
 
-	// Force the shared derived representation once, before the workers
-	// race to read it.
-	if m.Bins > 1 {
-		cm.Bin(m.Bins)
-	} else {
-		cm.Order()
-	}
+	// Force the shared presorted orders once, before the workers race
+	// to read them.
+	cm.Order()
 
 	// One deterministic sub-stream per tree, derived sequentially.
 	root := rng.New(m.Seed ^ 0x6a09e667f3bcc908)
@@ -152,19 +123,11 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 	if m.ComputeOOB {
 		inBag = make([][]bool, m.NEstimators)
 	}
+	// Trees fit concurrently, at most GOMAXPROCS at a time. Each tree's
+	// seed comes from the sequential sub-streams above, so the fitted
+	// forest is the same at every GOMAXPROCS.
 	var wg sync.WaitGroup
-	workers := m.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	treePool := workers
-	if treePool > m.NEstimators {
-		treePool = m.NEstimators
-	}
-	// Workers beyond the tree count can't add across-tree concurrency;
-	// hand them to the member trees as intra-fit workers instead.
-	perTree := workers / treePool
-	sem := make(chan struct{}, treePool)
+	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), m.NEstimators))
 	for t := 0; t < m.NEstimators; t++ {
 		wg.Add(1)
 		go func(t int) {
@@ -183,8 +146,6 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 				MinSamplesLeaf: m.MinSamplesLeaf,
 				MaxFeatures:    maxFeat,
 				Seed:           rnd.Uint64(),
-				Bins:           m.Bins,
-				Workers:        perTree,
 			})
 			if err := tr.FitWeighted(cm, y, w); err != nil {
 				errs[t] = err

@@ -1,14 +1,16 @@
 package forest
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// workersDataset draws a dataset large enough for the member trees to
-// cross the intra-fit parallel thresholds.
+// workersDataset draws a dataset large enough that every member tree
+// grows deep.
 func workersDataset(n, p int, seed uint64) ([][]float64, []float64) {
 	rnd := rng.New(seed)
 	x := make([][]float64, n)
@@ -27,49 +29,62 @@ func workersDataset(n, p int, seed uint64) ([][]float64, []float64) {
 	return x, y
 }
 
-// TestWorkersBitIdentical pins the FitOptions contract: the fitted
-// forest must be bit-identical for every Workers value, including
-// Workers > NEstimators where the surplus flows into each member tree
-// as intra-fit workers. Predictions and importances compare exactly.
+// TestWorkersBitIdentical pins the forest's scheduling contract: the
+// across-tree pool is sized from GOMAXPROCS, and the fitted forest must
+// be bit-identical at every size — tree seeds derive from sequential
+// sub-streams regardless of which tree a worker picks up. Trees,
+// predictions and importances compare exactly.
 func TestWorkersBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large dataset")
 	}
 	x, y := workersDataset(3000, 4, 11)
-	for _, bins := range []int{0, 64} {
-		base := Config{NEstimators: 4, MaxDepth: 8, MinSamplesLeaf: 2, Seed: 7, Bins: bins}
-		ref := New(base)
-		if err := ref.Fit(x, y); err != nil {
-			t.Fatalf("bins=%d: serial fit: %v", bins, err)
+	cfg := Config{NEstimators: 6, MaxDepth: 8, MinSamplesLeaf: 2, Seed: 7}
+	fit := func(procs int) *Model {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m := New(cfg)
+		if err := m.Fit(x, y); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: fit: %v", procs, err)
 		}
-		refPred := ref.PredictBatch(x)
-		refImp, err := ref.Importances()
-		if err != nil {
-			t.Fatalf("bins=%d: importances: %v", bins, err)
-		}
-		// workers=8 > NEstimators=4 gives every tree 2 intra-fit workers.
-		for _, workers := range []int{1, 2, 4, 8} {
-			cfg := base
-			cfg.Workers = workers
-			m := New(cfg)
-			if err := m.Fit(x, y); err != nil {
-				t.Fatalf("bins=%d workers=%d: fit: %v", bins, workers, err)
-			}
-			label := fmt.Sprintf("bins=%d workers=%d", bins, workers)
-			pred := m.PredictBatch(x)
-			for i := range pred {
-				if pred[i] != refPred[i] {
-					t.Fatalf("%s: prediction %d: %v != serial %v", label, i, pred[i], refPred[i])
-				}
-			}
-			imp, err := m.Importances()
+		return m
+	}
+	ref := fit(1)
+	refPred := ref.PredictBatch(x)
+	refImp, err := ref.Importances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{2, 4} {
+		m := fit(procs)
+		label := fmt.Sprintf("GOMAXPROCS=%d", procs)
+		for i, tr := range m.trees {
+			// The tree codec writes the node array verbatim, so equal
+			// encodings mean equal trees.
+			want, err := ref.trees[i].GobEncode()
 			if err != nil {
-				t.Fatalf("%s: importances: %v", label, err)
+				t.Fatal(err)
 			}
-			for j := range imp {
-				if imp[j] != refImp[j] {
-					t.Fatalf("%s: importance %d: %v != serial %v", label, j, imp[j], refImp[j])
-				}
+			got, err := tr.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: tree %d differs from the GOMAXPROCS=1 fit", label, i)
+			}
+		}
+		pred := m.PredictBatch(x)
+		for i := range pred {
+			if pred[i] != refPred[i] {
+				t.Fatalf("%s: prediction %d: %v != serial %v", label, i, pred[i], refPred[i])
+			}
+		}
+		imp, err := m.Importances()
+		if err != nil {
+			t.Fatalf("%s: importances: %v", label, err)
+		}
+		for j := range imp {
+			if imp[j] != refImp[j] {
+				t.Fatalf("%s: importance %d: %v != serial %v", label, j, imp[j], refImp[j])
 			}
 		}
 	}

@@ -3,25 +3,22 @@ package gbm
 import (
 	"sync"
 	"time"
-
-	"repro/internal/pool"
 )
 
-// The boosting engine's parent−sibling subtraction path, mirroring the
-// tree engine's (internal/ml/tree/slab.go): a node's gradient histogram
+// The boosting engine's parent−sibling subtraction path: a node's
+// gradient histogram
 // over every feature is materialized once in a pooled flat slab; after
 // the node splits, only the smaller child is refilled from rows and the
 // larger child derives cell-by-cell as parent − sibling, in place in
 // the parent's slab. A boosting stage's fill work per level drops from
 // all rows × features to the smaller halves.
 //
-// Exactness mirrors the tree engine too: per-bin row counts subtract
-// exactly (int32), directly-filled slabs accumulate and sweep in the
-// same sequences as scanFeature and therefore choose bit-identical
-// splits, and derived gradient sums can drift in the last ulps — which
-// is why every gate below is a pure function of segment sizes and
-// config, making the fitted ensemble deterministic and identical at
-// every worker count. Child gradient totals and leaf values are
+// Exactness: per-bin row counts subtract exactly (int32),
+// directly-filled slabs accumulate and sweep in the same sequences as
+// scanFeature and therefore choose bit-identical splits, and derived
+// gradient sums can drift in the last ulps — which is why every gate
+// below is a pure function of segment sizes and config, making the
+// fitted ensemble deterministic. Child gradient totals and leaf values are
 // threaded down the recursion (never read back from histograms), so
 // they come out of the same arithmetic on either path.
 var (
@@ -33,12 +30,6 @@ var (
 	// deriving by subtraction; smaller subtrees fall back to the direct
 	// path. Tests move this gate to force or forbid subtraction.
 	histSubtractMinRows = 512
-	// binRangeMinRows gates the univariate (single-feature) stage
-	// builder's bin-range parallelism: below it the 256-bin sweep and
-	// the prediction-apply pass run serially. The gate affects
-	// scheduling only — bin-range ownership preserves each bin's
-	// row-order accumulation, so results are bit-identical either way.
-	binRangeMinRows = 4096
 )
 
 // histStatsTimingMinRows bounds fill/subtract wall-clock sampling to
@@ -58,8 +49,7 @@ type gslab struct {
 	hi []int32
 }
 
-// slabRecycler keeps released slabs alive across fits (mirroring the
-// tree engine's), so repeated boosting fits over same-shaped data — the
+// slabRecycler keeps released slabs alive across fits, so repeated boosting fits over same-shaped data — the
 // steady state of a fleet retrain — reallocate slab memory only after a
 // GC cycle drains the pool. The release invariant (all cells in
 // [0, cap) zero, envelopes (1, 0)) holds inductively across reslicing,
@@ -138,9 +128,7 @@ func (t *trainer) releaseSlab(s *gslab) {
 
 // fillSlab directly fills the slab over segment [lo, hi) of the round's
 // rows: every feature in one pass each, in segment row order — the
-// exact accumulation sequence scanFeature produces. Large segments fill
-// features concurrently; workers own disjoint slab regions, so there is
-// no merge and the result is bit-identical at every worker count.
+// exact accumulation sequence scanFeature produces.
 func (t *trainer) fillSlab(s *gslab, lo, hi int) {
 	rows := hi - lo
 	timed := rows >= histStatsTimingMinRows
@@ -149,14 +137,8 @@ func (t *trainer) fillSlab(s *gslab, lo, hi int) {
 		t0 = time.Now()
 	}
 	p := len(t.bins)
-	if t.workers > 1 && rows >= parallelScanMinRows && p > 1 {
-		pool.DoWorkers(p, t.workers, func(_, f int) {
-			t.fillSlabFeature(s, f, lo, hi)
-		})
-	} else {
-		for f := 0; f < p; f++ {
-			t.fillSlabFeature(s, f, lo, hi)
-		}
+	for f := 0; f < p; f++ {
+		t.fillSlabFeature(s, f, lo, hi)
 	}
 	t.stats.FillRows += uint64(rows) * uint64(p)
 	t.stats.DirectNodes++
@@ -295,29 +277,16 @@ func (t *trainer) childSlabs(s *gslab, lo, mid, hi, depth int) (ls, rs *gslab) {
 // regularized gain — no refilling. Sweep order, gain arithmetic and the
 // strict-> rule are identical to scanFeature's dense and sparse paths
 // (which agree with each other), so a directly-filled slab node chooses
-// the exact same split as the legacy engine. Large nodes sweep features
-// concurrently against a zero floor and merge in feature order, the
-// same first-candidate-wins merge bestHistSplit uses.
+// the exact same split as the legacy engine.
 func (t *trainer) bestSplitSlab(s *gslab, lo, hi int, gTot float64) (feature int, bin uint8, glBest, gain float64) {
 	cnt := hi - lo
 	parent := gTot * gTot * t.recip[cnt]
 	bestGain := 0.0
 	bestFeat, bestBin := -1, uint8(0)
 	bestGL := 0.0
-	if t.workers > 1 && cnt >= parallelScanMinRows && len(t.bins) > 1 {
-		pool.DoWorkers(len(t.bins), t.workers, func(_, f int) {
-			t.featGain[f], t.featBin[f], t.featGL[f], t.featHit[f] = t.sweepSlabFeature(s, f, cnt, gTot, parent, 0)
-		})
-		for f := range t.bins {
-			if t.featHit[f] && t.featGain[f] > bestGain {
-				bestGain, bestFeat, bestBin, bestGL = t.featGain[f], f, t.featBin[f], t.featGL[f]
-			}
-		}
-	} else {
-		for f := 0; f < len(t.bins); f++ {
-			if g, b, gl, hit := t.sweepSlabFeature(s, f, cnt, gTot, parent, bestGain); hit {
-				bestGain, bestFeat, bestBin, bestGL = g, f, b, gl
-			}
+	for f := 0; f < len(t.bins); f++ {
+		if g, b, gl, hit := t.sweepSlabFeature(s, f, cnt, gTot, parent, bestGain); hit {
+			bestGain, bestFeat, bestBin, bestGL = g, f, b, gl
 		}
 	}
 	if bestFeat < 0 {

@@ -7,6 +7,26 @@ import (
 	"repro/internal/rng"
 )
 
+// slabDataset draws a dataset large enough for stage trees to engage
+// the slab engine.
+func slabDataset(n, p int, seed uint64) ([][]float64, []float64) {
+	rnd := rng.New(seed)
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = make([]float64, p)
+		for j := range x[i] {
+			if j%2 == 0 {
+				x[i][j] = float64(rnd.Intn(32)) / 4
+			} else {
+				x[i][j] = rnd.Float64() * 10
+			}
+		}
+		y[i] = 3*x[i][0] - 2*x[i][1%p] + rnd.NormFloat64()
+	}
+	return x, y
+}
+
 // setGBMGates overrides the slab engine's size gates for a test and
 // restores them afterwards.
 func setGBMGates(t *testing.T, slabMin, subMin int) {
@@ -37,7 +57,7 @@ func ensemblesEqual(t *testing.T, label string, a, b *Model) {
 // scanFeature path — same accumulation row order, same sweep sequence,
 // same strict-> tie-break, for any gradient values.
 func TestGBMSlabDirectPathBitIdenticalToLegacy(t *testing.T) {
-	x, y := workersDataset(3000, 4, 17)
+	x, y := slabDataset(3000, 4, 17)
 	for _, cfg := range []Config{
 		{NEstimators: 8, MaxDepth: 7, Seed: 3},
 		{NEstimators: 6, MaxDepth: 5, Seed: 3, Subsample: 0.7},
@@ -56,33 +76,26 @@ func TestGBMSlabDirectPathBitIdenticalToLegacy(t *testing.T) {
 	}
 }
 
-// TestGBMSubtractionWorkerInvariant forces subtraction through most of
-// every stage tree (low gates) and checks the ensemble is bit-identical
-// at every worker count — the gates are pure functions of segment
-// sizes, the fills accumulate in fixed row order, and the sweeps merge
-// in feature order, so parallelism must never leak into the model. The
+// TestGBMSubtractionDeterministic forces subtraction through most of
+// every stage tree (low gates) and checks that refitting reproduces the
+// ensemble bit for bit — the gates are pure functions of segment sizes
+// and the fills accumulate in fixed row order, so derived histograms
+// never make the model depend on anything but its inputs. The
 // derivation counter proves the subtraction path actually ran.
-func TestGBMSubtractionWorkerInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large dataset")
-	}
+func TestGBMSubtractionDeterministic(t *testing.T) {
 	setGBMGates(t, 128, 64)
 	derivedBefore := ml.HistStatsSnapshot().DerivedNodes
-	x, y := workersDataset(3000, 5, 23)
+	x, y := slabDataset(3000, 5, 23)
 	cfg := Config{NEstimators: 8, MaxDepth: 8, Seed: 11}
 	ref := New(cfg)
 	if err := ref.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		c := cfg
-		c.Workers = workers
-		m := New(c)
-		if err := m.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		ensemblesEqual(t, "subtraction workers", ref, m)
+	m := New(cfg)
+	if err := m.Fit(x, y); err != nil {
+		t.Fatal(err)
 	}
+	ensemblesEqual(t, "subtraction refit", ref, m)
 	if d := ml.HistStatsSnapshot().DerivedNodes - derivedBefore; d == 0 {
 		t.Fatal("no stage node derived its histogram by subtraction — the gates did not engage")
 	}
@@ -160,7 +173,7 @@ func TestGSlabDeriveMatchesDirect(t *testing.T) {
 // stage's per-node histogram work — acquire, fill, derive, release —
 // allocates nothing.
 func TestGBMStageHistWorkAllocationFree(t *testing.T) {
-	x, _ := workersDataset(4096, 4, 5)
+	x, _ := slabDataset(4096, 4, 5)
 	cm, err := ml.NewColMatrix(x)
 	if err != nil {
 		t.Fatal(err)
@@ -189,43 +202,8 @@ func TestGBMStageHistWorkAllocationFree(t *testing.T) {
 	}
 }
 
-// TestUnivariateBinRangeParallelBitIdentical pins the 1D stage
-// builder's bin-range parallelism: fills by bin-range ownership,
-// prefix-seeded range sweeps merged in bin order, and row-chunk apply
-// must leave the ensemble bit-identical at every worker count.
-func TestUnivariateBinRangeParallelBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large dataset")
-	}
-	x, y := workersDataset(6000, 1, 29)
-	cfg := Config{NEstimators: 12, MaxDepth: 6, Seed: 9}
-	ref := New(cfg)
-	if err := ref.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.nodes) <= len(ref.stageStart)-1 {
-		t.Fatal("univariate reference degenerated to stumps-free ensemble; dataset too easy")
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		c := cfg
-		c.Workers = workers
-		m := New(c)
-		if err := m.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		ensemblesEqual(t, "univariate bin-range workers", ref, m)
-		pred := m.PredictBatch(x)
-		refPred := ref.PredictBatch(x)
-		for i := range pred {
-			if pred[i] != refPred[i] {
-				t.Fatalf("workers=%d: prediction %d differs", workers, i)
-			}
-		}
-	}
-}
-
 // TestGBMSlabRecyclerInvariant pins the boosting engine's cross-fit
-// slab recycler (mirroring the tree engine's): pooled slabs are zeroed
+// slab recycler: pooled slabs are zeroed
 // to capacity with empty envelopes, the shape guard drops undersized
 // slabs, and a fit consuming recycled slabs is bit-identical to a
 // fresh-allocation fit.
@@ -234,7 +212,7 @@ func TestGBMSlabRecyclerInvariant(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	setGBMGates(t, 128, 64)
-	x, y := workersDataset(2500, 4, 9)
+	x, y := slabDataset(2500, 4, 9)
 	cfg := Config{NEstimators: 6, MaxDepth: 6, Seed: 5}
 	for slabRecycler.Get() != nil { // isolate from earlier tests' fits
 	}

@@ -2,9 +2,9 @@ package ml
 
 import "sync/atomic"
 
-// Package-level work accounting for the histogram split engines. The
-// tree and GBM trainers tally their fill/subtract/sweep work into a
-// local HistStats and merge it here once per fit (a handful of atomic
+// Package-level work accounting for the histogram split engine. The
+// GBM trainer tallies its fill/subtract/sweep work into a local
+// HistStats and merge it here once per fit (a handful of atomic
 // adds), so the engine layer can expose where histogram time goes —
 // rows scanned into direct fills vs. cells derived by parent−sibling
 // subtraction — without any per-node synchronization.
@@ -44,19 +44,6 @@ type HistStats struct {
 	// it is negligible relative to the work measured.
 	FillNanos     uint64
 	SubtractNanos uint64
-}
-
-// Merge folds another tally into s (forked subtree builders tally
-// privately and merge at the join point, so no counter is contended).
-func (s *HistStats) Merge(o *HistStats) {
-	s.FillRows += o.FillRows
-	s.FillCells += o.FillCells
-	s.SubtractCells += o.SubtractCells
-	s.SweepCells += o.SweepCells
-	s.DirectNodes += o.DirectNodes
-	s.DerivedNodes += o.DerivedNodes
-	s.FillNanos += o.FillNanos
-	s.SubtractNanos += o.SubtractNanos
 }
 
 // AddHistStats merges one fit's tally into the package counters.
@@ -105,6 +92,6 @@ func HistStatsSnapshot() HistStats {
 // BinBuilds returns how many quantile binnings have been computed
 // process-wide; BinReuses how many Bin calls were served from a
 // matrix's cache. Their ratio is the payoff of sharing one binned
-// layout across trees, boosting rounds and grid configurations.
+// layout across boosting rounds and grid configurations.
 func BinBuilds() uint64 { return binBuilds.Load() }
 func BinReuses() uint64 { return binReuses.Load() }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-// naiveBuilder is the retained reference implementation of the exact
+// naiveBuilder is the test-only reference implementation of the exact
 // CART grower: it re-sorts every candidate feature at every node, which
 // makes node expansion O(F·n log n) but keeps the logic obviously
 // correct. The production exact engine (exactBuilder) sorts each
@@ -30,7 +30,7 @@ type naiveBuilder struct {
 }
 
 // fitNaive grows a tree with the reference builder and installs it into
-// the model. It accepts the exact strategy only (cfg.Bins must be 0).
+// the model.
 func (m *Model) fitNaive(x [][]float64, y []float64) {
 	p := len(x[0])
 	b := &naiveBuilder{

@@ -3,21 +3,17 @@
 // non-linear mapping the paper's ensemble methods (random forest and
 // gradient boosting) are built from.
 //
-// Split finding runs on one of two engines over a shared column-major
-// matrix (ml.ColMatrix):
+// Split finding runs on an exact presorted engine over a shared
+// column-major matrix (ml.ColMatrix): each feature is sorted once per
+// matrix and the per-feature orders are stably partitioned down the
+// tree, so a node scan is O(F·n) with no per-node sorting or
+// allocation. The grown tree is bit-identical to the naive reference
+// kept beside the tests (naive_test.go), which re-sorts at every node.
 //
-//   - exact (default): each feature is sorted once per matrix; the
-//     per-feature orders are stably partitioned down the tree, so a
-//     node scan is O(F·n) with no per-node sorting or allocation. The
-//     grown tree is bit-identical to the retained naive reference
-//     (naive.go), which re-sorts at every node.
-//   - histogram (opt-in via Config.Bins): features are quantile-binned
-//     once per matrix into ≤256 uint8 buckets; node scans accumulate
-//     per-bin sums and sweep them cumulatively, costing O(F·(n+bins))
-//     with much smaller constants on wide nodes.
-//
-// Both engines accept per-row multiplicities (weights), which lets a
-// random forest share one presorted matrix across all bootstraps.
+// The engine accepts per-row multiplicities (weights), which lets a
+// random forest share one presorted matrix across all bootstraps. A
+// fit runs on the calling goroutine; ensembles get their parallelism
+// by fitting many trees at once.
 package tree
 
 import (
@@ -46,26 +42,6 @@ type Config struct {
 	MaxFeatures int
 	// Seed drives feature subsampling when MaxFeatures is active.
 	Seed uint64
-	// Bins selects the split-finding strategy: 0 (or 1) grows with the
-	// exact presorted engine; 2..256 opts into the approximate
-	// histogram engine with at most Bins quantile buckets per feature.
-	// Values above 256 are clamped to 256 (bin codes are uint8).
-	Bins int
-	// Workers bounds intra-fit parallelism (ml.FitOptions.Workers):
-	// candidate features are scanned concurrently at large nodes and
-	// whole subtrees are grown concurrently below the frontier depth.
-	// 0 or 1 grows strictly serially on the calling goroutine. The
-	// grown tree is bit-identical for every value — parallel scans
-	// reproduce the serial candidate-order tie-break, and forked
-	// subtrees splice back into the exact serial node layout — so
-	// Workers is an execution knob, not part of the model identity.
-	Workers int
-	// ParallelFrontier is the depth limit for subtree forking when
-	// Workers > 1: split nodes at depth < ParallelFrontier may hand
-	// their right subtree to a pooled worker, deeper nodes grow
-	// serially. 0 derives log2(Workers)+2 — enough fork points to fill
-	// the pool without flooding it with tiny tasks.
-	ParallelFrontier int
 }
 
 // Model is a fitted CART regression tree.
@@ -89,16 +65,6 @@ type node struct {
 
 var _ ml.Regressor = (*Model)(nil)
 var _ ml.MatrixFitter = (*Model)(nil)
-var _ ml.BinsHinter = (*Model)(nil)
-
-// BinsHint reports the quantile-binning resolution this configuration
-// trains at (ml.BinsHinter); ≤ 1 means the exact engine, no binning.
-func (m *Model) BinsHint() int {
-	if m.Bins > 256 {
-		return 256
-	}
-	return m.Bins
-}
 
 // New returns a tree with the given config, applying defaults for unset
 // minimums.
@@ -108,9 +74,6 @@ func New(cfg Config) *Model {
 	}
 	if cfg.MinSamplesLeaf < 1 {
 		cfg.MinSamplesLeaf = 1
-	}
-	if cfg.Bins > 256 {
-		cfg.Bins = 256
 	}
 	return &Model{Config: cfg}
 }
@@ -128,8 +91,8 @@ func (m *Model) Fit(x [][]float64, y []float64) error {
 }
 
 // FitMatrix grows the tree from a prebuilt column matrix, reusing its
-// cached presorted orders (exact engine) or binnings (histogram
-// engine). The matrix is not mutated and may be shared concurrently.
+// cached presorted orders. The matrix is not mutated and may be shared
+// concurrently.
 func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 	return m.FitWeighted(cm, y, nil)
 }
@@ -164,16 +127,12 @@ func (m *Model) FitWeighted(cm *ml.ColMatrix, y []float64, w []float64) error {
 	return m.fit(cm, y, w)
 }
 
-// fit dispatches to the configured split-finding engine.
+// fit validates the remaining config and grows the tree.
 func (m *Model) fit(cm *ml.ColMatrix, y []float64, w []float64) error {
 	if m.MaxFeatures < 0 {
 		return fmt.Errorf("tree: negative MaxFeatures %d", m.MaxFeatures)
 	}
-	if m.Bins > 1 {
-		m.fitHist(cm, y, w)
-	} else {
-		m.fitExact(cm, y, w)
-	}
+	m.fitExact(cm, y, w)
 	return nil
 }
 

@@ -368,3 +368,41 @@ func TestLoadErrors(t *testing.T) {
 		t.Error("corrupt file accepted")
 	}
 }
+
+// TestRestorePreUpgradeSpill: testdata/pre-upgrade.snap was spilled by
+// a build whose PredictorConfig still had the since-removed Bins and
+// FitWorkers knobs, so its ConfigHash folded Bins in. The upgrade must
+// not force a cold train: the spill restores under today's
+// configuration, and a retrain on the unchanged fleet reuses every
+// vehicle with bit-identical forecasts. (Forest and boosting models in
+// the old encoding are covered by the fixtures in their own packages.)
+func TestRestorePreUpgradeSpill(t *testing.T) {
+	store, err := New("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled, err := store.Load("pre-upgrade")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Restore(spilled); err != nil {
+		t.Fatalf("pre-upgrade spill refused: %v", err)
+	}
+	fleet := testFleet(t)
+	snap, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Retrained != 0 || snap.Reused != len(fleet) {
+		t.Fatalf("retrain after restore: reused=%d retrained=%d, want full reuse of %d", snap.Reused, snap.Retrained, len(fleet))
+	}
+	for i, f := range spilled.Forecasts {
+		if g := snap.Forecasts[i]; f.VehicleID != g.VehicleID || math.Float64bits(f.DaysLeft) != math.Float64bits(g.DaysLeft) {
+			t.Errorf("forecast %s drifted across the upgrade: %v vs %v", f.VehicleID, f.DaysLeft, g.DaysLeft)
+		}
+	}
+}
