@@ -1,6 +1,7 @@
 // Package repro's root benchmark harness: one benchmark per paper table
 // and figure (regenerating the experiment at reduced scale), the §5.1
-// per-algorithm training-time study, and the DESIGN.md ablations.
+// per-algorithm training-time study, and the ablations listed in
+// ARCHITECTURE.md.
 //
 // Run with: go test -bench=. -benchmem
 package repro
@@ -252,7 +253,8 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-// Ablation benchmarks (DESIGN.md §5).
+// Ablation benchmarks (ARCHITECTURE.md, "Reproduction substitutions and
+// ablations").
 
 func BenchmarkAblationPooledVsPerVehicle(b *testing.B) {
 	e := env(b)

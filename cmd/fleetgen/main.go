@@ -2,7 +2,7 @@
 // either writes it as CSV (vehicle,model,class,date,seconds) or replays
 // it as live telemetry against a running fleetserver. The dataset is the
 // documented substitute for the paper's proprietary Tierra S.p.A. data
-// (DESIGN.md, substitution S1).
+// (ARCHITECTURE.md, "Reproduction substitutions and ablations").
 //
 // With -post URL the generated days are sliced into chronological
 // batches and POSTed to URL/telemetry, so the full live loop —

@@ -1,6 +1,7 @@
 // Command repro regenerates every table and figure of the paper's
-// evaluation section on the synthetic fleet (DESIGN.md documents the
-// data substitution). Output is plain text; figures are printed as
+// evaluation section on the synthetic fleet (ARCHITECTURE.md,
+// "Reproduction substitutions and ablations", documents the data
+// substitution). Output is plain text; figures are printed as
 // aligned numeric series that plot directly with any external tool.
 //
 // Usage:
@@ -271,7 +272,7 @@ func runTiming(env *experiments.Env, w int) error {
 }
 
 func runAblations(env *experiments.Env) error {
-	fmt.Println("== Ablations (DESIGN.md §5) ==")
+	fmt.Println("== Ablations (ARCHITECTURE.md) ==")
 	print := func(rows []experiments.AblationRow, err error) error {
 		if err != nil {
 			return err

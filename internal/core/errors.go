@@ -48,7 +48,8 @@ type ErrorReport struct {
 }
 
 // Global returns E_Global: the mean absolute daily error over all
-// samples (Eq. 3, magnitude form — see DESIGN.md S5). NaN on empty.
+// samples (Eq. 3, magnitude form — see ARCHITECTURE.md, "Reproduction
+// substitutions and ablations"). NaN on empty.
 func (r *ErrorReport) Global() float64 {
 	if len(r.Predictions) == 0 {
 		return math.NaN()

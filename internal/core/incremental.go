@@ -127,15 +127,21 @@ func deriveSeed(root uint64, domain byte, id string) uint64 {
 }
 
 // PriorGeneration carries the reusable outputs of a previous build:
-// per-vehicle fingerprints, statuses and trained models, plus the hash
-// of the old-vehicle donor pool those models were trained against.
+// per-vehicle fingerprints, statuses and trained models, plus the hashes
+// of the cold-start inputs those models were trained against.
 // internal/engine materializes one from its current Snapshot.
 type PriorGeneration struct {
 	// Fingerprints are the per-vehicle series content hashes at the
 	// previous build.
 	Fingerprints map[string]uint64
-	// PoolHash identifies the donor pool (IDs and contents of every
-	// old-category vehicle) of the previous build.
+	// DonorHash identifies the cold-start training inputs of the
+	// previous build (see TrainPlan.DonorHash); 0 when the generation
+	// predates it.
+	DonorHash uint64
+	// PoolHash identifies the previous build's donor pool by the full
+	// series of every old vehicle. It is only consulted as the reuse
+	// key of generations that carry no DonorHash (older spills): an
+	// unchanged pool implies unchanged donor first cycles.
 	PoolHash uint64
 	// Statuses are the previous per-vehicle outcomes, including failed
 	// vehicles (Err != "").
@@ -145,13 +151,44 @@ type PriorGeneration struct {
 	Models map[string]ml.Regressor
 }
 
+// donorsUnchanged reports whether cold-start training would read the
+// same inputs now as it did for the prior generation. Equal pool
+// hashes imply equal donor hashes, so either match is sound; the pool
+// hash matters only for a prior without a DonorHash.
+func (p *PriorGeneration) donorsUnchanged(donorHash, poolHash uint64) bool {
+	return p != nil && (p.DonorHash == donorHash || p.PoolHash == poolHash)
+}
+
+// unifiedModel returns the prior generation's unified cold-start model:
+// the model of the lowest-ID vehicle served by the unified strategy.
+// Every such vehicle holds the same shared model, so the pick only has
+// to be deterministic. It returns nil when no vehicle used it.
+func (p *PriorGeneration) unifiedModel() ml.Regressor {
+	var (
+		bestID string
+		best   ml.Regressor
+	)
+	for id, st := range p.Statuses {
+		if st.Strategy != "unified" || st.Err != "" || p.Models[id] == nil {
+			continue
+		}
+		if best == nil || id < bestID {
+			bestID, best = id, p.Models[id]
+		}
+	}
+	return best
+}
+
 // TrainPlan is the outcome of planning one build: the vehicles that
 // must (re)train, the shared training context, and the prior results
 // carried forward unchanged.
 type TrainPlan struct {
 	// Tasks are the vehicles to train this build, in ID order.
 	Tasks []TrainTask
-	// Shared is the read-only context for executing Tasks.
+	// Shared is the read-only context for executing Tasks. When the
+	// donors are unchanged since the prior generation it already holds
+	// the prior unified model, so new vehicles cost a forecast, not a
+	// refit.
 	Shared *TrainShared
 	// Reused are the carried-forward statuses, in ID order.
 	Reused []VehicleStatus
@@ -160,7 +197,16 @@ type TrainPlan struct {
 	ReusedModels map[string]ml.Regressor
 	// Fingerprints covers every registered vehicle at this build.
 	Fingerprints map[string]uint64
-	// PoolHash identifies this build's old-vehicle donor pool.
+	// DonorHash hashes exactly what cold-start training reads: for each
+	// old vehicle in ID order, its ID, allowance, first-cycle end and
+	// the utilization up to that end. Semi-new and new vehicles are
+	// reused, and the unified model carried forward, while it is
+	// unchanged — so a day appended after an old vehicle's first cycle
+	// retrains only that vehicle.
+	DonorHash uint64
+	// PoolHash identifies this build's old-vehicle donor pool by full
+	// series content. It is kept so a generation can be compared with
+	// older spills that predate DonorHash.
 	PoolHash uint64
 }
 
@@ -169,16 +215,18 @@ type TrainPlan struct {
 // vehicle is carried forward — status and model untouched — when its
 // series fingerprint matches the prior build's, and, for vehicles that
 // train on the donor pool rather than their own history (semi-new and
-// new), when the pool itself is also unchanged. Old vehicles train on
-// their own series only, so their reuse needs only their own
-// fingerprint to match.
+// new), when the donors' first cycles are also unchanged (DonorHash).
+// Old vehicles train on their own series only, so their reuse needs
+// only their own fingerprint to match. Under unchanged donors the
+// shared context also carries the prior unified model forward.
 //
 // Reuse is exact by construction, not approximation: a task seed is a
 // pure function of (config seed, vehicle ID), and TrainVehicle is a
-// pure function of (series, category, seed, config, donor pool), so a
-// reused model is bit-identical to the model a full rebuild would
-// train. Callers needing the escape hatch (changed config or seed —
-// which a FleetPredictor cannot observe) pass prior == nil.
+// pure function of (series, category, seed, config, donor first
+// cycles), so a reused model is bit-identical to the model a full
+// rebuild would train. Callers needing the escape hatch (changed
+// config or seed — which a FleetPredictor cannot observe) pass
+// prior == nil.
 func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainPlan, error) {
 	if len(fp.vehicles) == 0 {
 		return nil, errNoVehicles()
@@ -193,13 +241,14 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		Fingerprints: make(map[string]uint64, len(fp.vehicles)),
 	}
 
-	// Fingerprint and hash the pool over *every* registered vehicle,
-	// donor-only ones included: the pool hash must be a pure function of
+	// Fingerprint and hash the donors over *every* registered vehicle,
+	// donor-only ones included: both hashes must be pure functions of
 	// the fleet-wide old-vehicle contents so a shard (own partition +
-	// donors) and an unsharded build (everything owned) agree on it.
+	// donors) and an unsharded build (everything owned) agree on them.
 	ids := fp.VehicleIDs()
 	categories := make(map[string]Category, len(ids))
 	poolHash := uint64(fnvOffset64)
+	donorHash := uint64(fnvOffset64)
 	for _, id := range ids {
 		vs := fp.vehicles[id]
 		cat := Categorize(vs)
@@ -211,9 +260,15 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		if cat == Old {
 			poolHash = fnvString(poolHash, id)
 			poolHash = fnvUint64(poolHash, fpHash)
+			donorHash = hashFirstCycle(donorHash, vs)
 		}
 	}
 	plan.PoolHash = poolHash
+	plan.DonorHash = donorHash
+	donorsSame := prior.donorsUnchanged(donorHash, poolHash)
+	if donorsSame {
+		plan.Shared.unified = prior.unifiedModel()
+	}
 
 	// Only owned vehicles are planned (trained or carried forward);
 	// donor-only ones exist solely for the shared context above.
@@ -222,7 +277,7 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 			continue
 		}
 		vs := fp.vehicles[id]
-		if reusable(prior, id, plan.Fingerprints[id], categories[id], poolHash) {
+		if reusable(prior, id, plan.Fingerprints[id], categories[id], donorsSame) {
 			st := prior.Statuses[id]
 			plan.Reused = append(plan.Reused, st)
 			if st.Err == "" {
@@ -239,9 +294,26 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 	return plan, nil
 }
 
+// hashFirstCycle folds one old vehicle's cold-start inputs into h: its
+// ID, allowance, first-cycle end and U[:End]. Derive makes L, D and the
+// cycle bounds inside a complete first cycle a pure function of
+// U[:End] and the allowance, and the cold-start strategies
+// (halfCycleDay, the similarity distance over U[:half],
+// FirstCycleRecords, TrainUnified) read nothing else of a donor.
+func hashFirstCycle(h uint64, vs *timeseries.VehicleSeries) uint64 {
+	end := vs.Cycles[0].End // an Old vehicle's first cycle is complete
+	h = fnvString(h, vs.ID)
+	h = fnvUint64(h, math.Float64bits(vs.Allowance))
+	h = fnvUint64(h, uint64(end))
+	for _, v := range vs.U[:end] {
+		h = fnvUint64(h, math.Float64bits(v))
+	}
+	return h
+}
+
 // reusable decides whether one vehicle's prior result can be carried
 // forward unchanged.
-func reusable(prior *PriorGeneration, id string, fpHash uint64, cat Category, poolHash uint64) bool {
+func reusable(prior *PriorGeneration, id string, fpHash uint64, cat Category, donorsSame bool) bool {
 	if prior == nil {
 		return false
 	}
@@ -256,11 +328,11 @@ func reusable(prior *PriorGeneration, id string, fpHash uint64, cat Category, po
 	// A matching fingerprint implies an identical series, hence an
 	// identical category; re-deriving it above keeps this robust even
 	// against a (vanishingly unlikely) hash collision on membership.
-	if cat != Old && prior.PoolHash != poolHash {
-		// Semi-new and new vehicles train on the donor pool: a changed
-		// pool means a retrain could pick a different donor or unified
-		// model, so carrying the old one forward would break the
-		// bit-identical contract.
+	if cat != Old && !donorsSame {
+		// Semi-new and new vehicles train on the donors' first cycles:
+		// changed donors mean a retrain could pick a different donor or
+		// unified model, so carrying the old one forward would break
+		// the bit-identical contract.
 		return false
 	}
 	if st.Err == "" && prior.Models[id] == nil {

@@ -86,7 +86,8 @@ func Build(alg Algorithm, p ml.Params, seed uint64) (ml.Regressor, error) {
 }
 
 // DefaultParams returns fixed, well-performing parameters used when no
-// grid search is requested (the repro harness default; see DESIGN.md S3).
+// grid search is requested (the repro harness default; see
+// ARCHITECTURE.md, "Reproduction substitutions and ablations").
 func DefaultParams(alg Algorithm) ml.Params {
 	switch alg {
 	case LR:

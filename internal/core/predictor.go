@@ -72,8 +72,8 @@ type FleetPredictor struct {
 	vehicles map[string]*timeseries.VehicleSeries
 	starts   map[string]time.Time
 	// donorOnly marks vehicles registered for the cold-start donor pool
-	// only: they contribute to Olds()/PoolHash exactly as in an
-	// unsharded build but are never trained, statused or forecast. A
+	// only: they contribute to Olds() and the donor hashes exactly as in
+	// an unsharded build but are never trained, statused or forecast. A
 	// cluster shard registers the rest of the fleet's old vehicles this
 	// way, which is what keeps its models bit-identical to an unsharded
 	// build's (see AddDonor).
@@ -113,7 +113,7 @@ func (fp *FleetPredictor) AddVehicle(vs *timeseries.VehicleSeries, start time.Ti
 }
 
 // AddDonor registers a vehicle for the cold-start donor pool only: it
-// joins Olds() and the pool hash exactly as a trained vehicle would,
+// joins Olds() and the donor hashes exactly as a trained vehicle would,
 // but is never planned, trained or forecast. A cluster shard registers
 // its own partition with AddVehicle and every other shard's old
 // vehicles with AddDonor, so a semi-new or new vehicle trains against
@@ -200,11 +200,13 @@ func (o StageObserver) observe(stage string, alg Algorithm, t0 time.Time) {
 
 // TrainShared is the read-only context shared by every training task of
 // one build: the old-vehicle donor pool and the build's single unified
-// model (§4.4.1 trains *one* Model_Uni on all old vehicles and serves
-// every new vehicle with it). The unified model is trained lazily, at
-// most once even under concurrent tasks, with its own seed split — so
-// sharing costs nothing in determinism and saves O(olds) training per
-// additional new vehicle.
+// model (§4.4.1 trains *one* Model_Uni on all old vehicles' first
+// cycles and serves every new vehicle with it). The unified model is
+// trained lazily, at most once even under concurrent tasks, with its
+// own seed split — so sharing costs nothing in determinism and saves
+// O(olds) training per additional new vehicle. When the donors' first
+// cycles are unchanged since the prior generation, planning seeds it
+// with the prior unified model and nothing is refit.
 type TrainShared struct {
 	olds []*timeseries.VehicleSeries
 	cfg  PredictorConfig
@@ -215,7 +217,9 @@ type TrainShared struct {
 	// execution; it never influences what gets trained.
 	Observe StageObserver
 
-	once    sync.Once
+	once sync.Once
+	// unified is trained on first use, or set by planning from the
+	// prior generation (see PlanTrainingWithReuse).
 	unified ml.Regressor
 	err     error
 }
@@ -224,9 +228,12 @@ type TrainShared struct {
 func (sh *TrainShared) Olds() []*timeseries.VehicleSeries { return sh.olds }
 
 // Unified returns the build's unified cold-start model, training it on
-// first use.
+// first use unless planning carried it forward.
 func (sh *TrainShared) Unified() (ml.Regressor, error) {
 	sh.once.Do(func() {
+		if sh.unified != nil {
+			return
+		}
 		if len(sh.olds) == 0 {
 			sh.err = fmt.Errorf("no old vehicles available to train a unified model")
 			return

@@ -131,13 +131,97 @@ func TestIncrementalReuseCleanFleet(t *testing.T) {
 	}
 }
 
+// editDay returns a copy of the vehicle with day d's utilization
+// raised by delta seconds, re-derived so all series stay consistent.
+func editDay(t testing.TB, v Vehicle, d int, delta float64) Vehicle {
+	t.Helper()
+	u := v.Series.U.Clone()
+	u[d] += delta
+	vs, err := timeseries.Derive(v.Series.ID, u, v.Series.Allowance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Vehicle{Series: vs, Start: v.Start}
+}
+
 // TestIncrementalRetrainsDirtyOldVehicle: one old vehicle's new
 // telemetry retrains that vehicle; the other old vehicles carry their
-// models forward pointer-equal. Because the dirty vehicle is part of
-// the donor pool, the semi-new and new vehicles retrain too — their
-// models depend on the pool. The result is bit-identical to a full
-// rebuild on the same fleet.
+// models forward pointer-equal. The semi-new and new vehicles train on
+// the donors' first cycles only, so they follow the dirty vehicle only
+// when its first cycle changed. Either way the result is bit-identical
+// to a full rebuild on the same fleet.
 func TestIncrementalRetrainsDirtyOldVehicle(t *testing.T) {
+	base := mixedFleet(t)
+	firstEnd := base[0].Series.Cycles[0].End
+	cases := []struct {
+		name string
+		// dirty derives v01's new series.
+		dirty              func(Vehicle) Vehicle
+		reused, retrained  int
+		youngReusedForward bool
+	}{
+		// A day appended long after v01's first cycle: the donor inputs
+		// are unchanged, so v04 (semi-new) and v05 (new) carry forward.
+		{"day past first cycle", func(v Vehicle) Vehicle { return perturb(t, v) }, 4, 1, true},
+		// An edit inside v01's first cycle changes what cold-start
+		// training reads: v04 and v05 retrain with it.
+		{"edit inside first cycle", func(v Vehicle) Vehicle { return editDay(t, v, firstEnd/2, 500) }, 2, 3, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := eng.Retrain(context.Background(), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dirty := append([]Vehicle(nil), base...)
+			dirty[0] = tc.dirty(base[0]) // v01 is old
+			if got := core.Categorize(dirty[0].Series); got != core.Old {
+				t.Fatalf("dirty v01 categorized %s, want old", got)
+			}
+			second, err := eng.Retrain(context.Background(), dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Reused != tc.reused || second.Retrained != tc.retrained {
+				t.Fatalf("reused=%d retrained=%d, want %d/%d", second.Reused, second.Retrained, tc.reused, tc.retrained)
+			}
+			for _, id := range []string{"v02", "v03"} {
+				if second.Models[id] != first.Models[id] {
+					t.Errorf("clean old vehicle %s was not reused", id)
+				}
+			}
+			if second.Models["v01"] == first.Models["v01"] {
+				t.Error("dirty vehicle v01 kept its stale model")
+			}
+			for _, id := range []string{"v04", "v05"} {
+				if got := second.Models[id] == first.Models[id]; got != tc.youngReusedForward {
+					t.Errorf("young vehicle %s model carried forward = %v, want %v", id, got, tc.youngReusedForward)
+				}
+			}
+
+			fresh, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := fresh.Retrain(context.Background(), dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, "incremental vs full", second, full)
+		})
+	}
+}
+
+// TestNewVehicleReportReusesUnifiedModel: a report from a new vehicle
+// leaves the donors untouched, so its retrain serves the prior
+// generation's unified model instead of refitting it — no cold-start
+// fit reaches the stage observer — and still matches a full rebuild.
+func TestNewVehicleReportReusesUnifiedModel(t *testing.T) {
 	base := mixedFleet(t)
 	eng, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})
 	if err != nil {
@@ -147,24 +231,29 @@ func TestIncrementalRetrainsDirtyOldVehicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := first.StatusByID["v05"]; st.Strategy != "unified" {
+		t.Fatalf("v05 strategy %q, want unified", st.Strategy)
+	}
 
+	fits := eng.metrics.models.With(string(fastPredictorConfig().ColdStartAlgorithm), "fit")
+	before := fits.Count()
 	dirty := append([]Vehicle(nil), base...)
-	dirty[0] = perturb(t, base[0]) // v01 is old
+	dirty[4] = perturb(t, base[4]) // v05 is new
+	if got := core.Categorize(dirty[4].Series); got != core.New {
+		t.Fatalf("dirty v05 categorized %s, want new", got)
+	}
 	second, err := eng.Retrain(context.Background(), dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// v01 dirty; v04 (semi-new) and v05 (new) follow the pool change.
-	if second.Reused != 2 || second.Retrained != 3 {
-		t.Fatalf("reused=%d retrained=%d, want 2/3", second.Reused, second.Retrained)
+	if second.Reused != 4 || second.Retrained != 1 {
+		t.Fatalf("reused=%d retrained=%d, want 4/1", second.Reused, second.Retrained)
 	}
-	for _, id := range []string{"v02", "v03"} {
-		if second.Models[id] != first.Models[id] {
-			t.Errorf("clean old vehicle %s was not reused", id)
-		}
+	if second.Models["v05"] != first.Models["v05"] {
+		t.Error("new vehicle v05 did not get the prior unified model")
 	}
-	if second.Models["v01"] == first.Models["v01"] {
-		t.Error("dirty vehicle v01 kept its stale model")
+	if n := fits.Count() - before; n != 0 {
+		t.Errorf("observed %d cold-start fits, want 0", n)
 	}
 
 	fresh, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})

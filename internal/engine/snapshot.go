@@ -66,7 +66,15 @@ type Snapshot struct {
 	// build trained against (core.Fingerprint); the next build compares
 	// against them to decide which vehicles are dirty.
 	Fingerprints map[string]uint64
-	// PoolHash identifies the old-vehicle donor pool of this build.
+	// DonorHash identifies the cold-start training inputs of this
+	// build — the old vehicles' first cycles (core.TrainPlan.DonorHash).
+	// The next build reuses semi-new and new vehicles, and the unified
+	// model, while it is unchanged. Spills written before the field
+	// existed decode it as 0.
+	DonorHash uint64
+	// PoolHash identifies the old-vehicle donor pool of this build by
+	// full series content. It survives only as the reuse key for spills
+	// that predate DonorHash.
 	PoolHash uint64
 	// ConfigHash fingerprints the predictor configuration this build
 	// trained under (core.PredictorConfig.Hash). Restore refuses a
@@ -200,6 +208,7 @@ func (s *Snapshot) StoreCachedResponse(id string, body []byte) {
 func (s *Snapshot) prior() *core.PriorGeneration {
 	return &core.PriorGeneration{
 		Fingerprints: s.Fingerprints,
+		DonorHash:    s.DonorHash,
 		PoolHash:     s.PoolHash,
 		Statuses:     s.StatusByID,
 		Models:       s.Models,
@@ -220,6 +229,7 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 		FailedVehicles: make(map[string]string),
 		Models:         models,
 		Fingerprints:   plan.Fingerprints,
+		DonorHash:      plan.DonorHash,
 		PoolHash:       plan.PoolHash,
 		ConfigHash:     cfgHash,
 		Reused:         len(plan.Reused),

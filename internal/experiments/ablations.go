@@ -7,7 +7,8 @@ import (
 	"repro/internal/ml/gbm"
 )
 
-// AblationRow compares a design choice (DESIGN.md §5) against the
+// AblationRow compares a design choice (ARCHITECTURE.md, "Reproduction
+// substitutions and ablations") against the
 // paper's configuration on the same workload.
 type AblationRow struct {
 	Name    string

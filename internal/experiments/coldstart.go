@@ -143,7 +143,8 @@ func (e *Env) Table3(window int) ([]Table3Row, error) {
 	return rows, nil
 }
 
-// Table3Similarity is the DESIGN.md ablation 4: Table 3's Sim rows with
+// Table3Similarity is the DTW-similarity ablation (ARCHITECTURE.md,
+// "Reproduction substitutions and ablations"): Table 3's Sim rows with
 // the DTW similarity measure instead of the paper's point-wise average
 // distance.
 func (e *Env) Table3Similarity(window int, measure SimilarityMeasure) ([]Table3Row, error) {

@@ -1,7 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§5), plus the timing study and the ablations
-// called out in DESIGN.md. Each driver returns structured rows/series so
-// cmd/repro can print them and bench_test.go can measure them.
+// listed in ARCHITECTURE.md ("Reproduction substitutions and
+// ablations"). Each one returns structured rows/series so cmd/repro
+// can print them and bench_test.go can measure them.
 package experiments
 
 import (

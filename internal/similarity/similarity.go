@@ -3,8 +3,8 @@
 // average distance (§4.4.1) and explicitly notes that "more advanced
 // similarity measures (e.g., [9] — generalized dynamic time warping) can
 // be integrated as well"; this package provides both, plus a constrained
-// (Sakoe-Chiba band) DTW variant, so the ablation of DESIGN.md can
-// compare them.
+// (Sakoe-Chiba band) DTW variant, so the DTW-similarity ablation (see
+// ARCHITECTURE.md) can compare them.
 package similarity
 
 import (

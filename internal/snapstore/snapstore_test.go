@@ -132,7 +132,7 @@ func testConfig() core.PredictorConfig {
 }
 
 // TestSnapshotRoundTrip: Save + Load preserves everything a serving
-// shard needs — statuses, forecasts, fingerprints, pool hash — and the
+// shard needs — statuses, forecasts, fingerprints, donor hashes — and the
 // restored models predict.
 func TestSnapshotRoundTrip(t *testing.T) {
 	fleet := testFleet(t)
@@ -157,8 +157,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got.Generation != snap.Generation || got.PoolHash != snap.PoolHash {
-		t.Fatalf("generation/poolhash %d/%x, want %d/%x", got.Generation, got.PoolHash, snap.Generation, snap.PoolHash)
+	if got.Generation != snap.Generation || got.PoolHash != snap.PoolHash || got.DonorHash != snap.DonorHash {
+		t.Fatalf("generation/poolhash/donorhash %d/%x/%x, want %d/%x/%x",
+			got.Generation, got.PoolHash, got.DonorHash, snap.Generation, snap.PoolHash, snap.DonorHash)
 	}
 	if len(got.Statuses) != len(snap.Statuses) || len(got.Forecasts) != len(snap.Forecasts) {
 		t.Fatalf("restored %d statuses / %d forecasts, want %d / %d",
@@ -186,7 +187,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestRestoreThenIncrementalRetrain is the reboot contract: an engine
 // restored from a spilled snapshot serves it immediately and the next
 // retrain on unchanged telemetry reuses every vehicle (no
-// cold-training); a one-vehicle change retrains only that vehicle.
+// cold-training); a one-vehicle change retrains only that vehicle. A
+// spill from before snapshots carried a DonorHash still restores and
+// reaches the same steady state after one pool-keyed retrain.
 func TestRestoreThenIncrementalRetrain(t *testing.T) {
 	fleet := testFleet(t)
 	dir := t.TempDir()
@@ -249,10 +252,8 @@ func TestRestoreThenIncrementalRetrain(t *testing.T) {
 		}
 	}
 
-	// One vehicle changes: only it retrains. v01 is old, so the donor
-	// pool shifts with it — but v04/v05 (pool-dependent) still reuse
-	// only when the pool is unchanged; perturb the semi-new vehicle
-	// instead to keep the pool stable.
+	// One vehicle changes: only it retrains. The semi-new vehicle is
+	// not a donor, so nothing else depends on its series.
 	changed := make([]engine.Vehicle, len(fleet))
 	copy(changed, fleet)
 	u := fleet[3].Series.U.Clone()
@@ -268,6 +269,113 @@ func TestRestoreThenIncrementalRetrain(t *testing.T) {
 	}
 	if snap3.Retrained != 1 || snap3.Reused != len(fleet)-1 {
 		t.Errorf("dirty retrain: reused=%d retrained=%d, want %d/1", snap3.Reused, snap3.Retrained, len(fleet)-1)
+	}
+
+	// A spill written before snapshots carried a DonorHash decodes it
+	// as 0, so young-vehicle reuse falls back on the pool hash: the
+	// first old-vehicle day past its first cycle changes the pool and
+	// retrains v04/v05 once; the snapshot it publishes carries a
+	// DonorHash, so the next such day reuses them.
+	legacy, err := mustNew(t, "testdata").Load("pre-upgrade")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.DonorHash != 0 {
+		t.Fatalf("pre-upgrade fixture carries DonorHash %x", legacy.DonorHash)
+	}
+	eng3, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng3.Restore(legacy); err != nil {
+		t.Fatal(err)
+	}
+	day1 := appendOldDay(t, fleet)
+	snap4, err := eng3.Retrain(context.Background(), day1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap4.Retrained != 3 || snap4.Reused != len(fleet)-3 {
+		t.Errorf("first old day after a legacy restore: reused=%d retrained=%d, want %d/3", snap4.Reused, snap4.Retrained, len(fleet)-3)
+	}
+	if snap4.DonorHash == 0 {
+		t.Error("post-restore build published no DonorHash")
+	}
+	assertMatchesFullBuild(t, "first old day", snap4, day1)
+
+	day2 := appendOldDay(t, day1)
+	snap5, err := eng3.Retrain(context.Background(), day2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap5.Retrained != 1 || snap5.Reused != len(fleet)-1 {
+		t.Errorf("second old day: reused=%d retrained=%d, want %d/1", snap5.Reused, snap5.Retrained, len(fleet)-1)
+	}
+	for _, id := range []string{"v04", "v05"} {
+		if snap5.Models[id] != snap4.Models[id] {
+			t.Errorf("young vehicle %s retrained on an old day past the first cycle", id)
+		}
+	}
+	assertMatchesFullBuild(t, "second old day", snap5, day2)
+}
+
+func mustNew(t *testing.T, dir string) *Store {
+	t.Helper()
+	store, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// appendOldDay returns the fleet with one more day for v01, an old
+// vehicle whose first cycle ended long before.
+func appendOldDay(t *testing.T, fleet []engine.Vehicle) []engine.Vehicle {
+	t.Helper()
+	v := fleet[0]
+	if len(v.Series.Cycles) < 2 || core.Categorize(v.Series) != core.Old {
+		t.Fatalf("%s is not an old vehicle past its first cycle", v.Series.ID)
+	}
+	vs, err := timeseries.Derive(v.Series.ID, append(v.Series.U.Clone(), 17500), v.Series.Allowance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]engine.Vehicle(nil), fleet...)
+	out[0] = engine.Vehicle{Series: vs, Start: v.Start}
+	return out
+}
+
+// assertMatchesFullBuild checks an incremental snapshot against a
+// fresh full build of the same fleet: statuses and forecasts bit for
+// bit.
+func assertMatchesFullBuild(t *testing.T, label string, got *engine.Snapshot, fleet []engine.Vehicle) {
+	t.Helper()
+	eng, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Statuses) != len(want.Statuses) || len(got.Forecasts) != len(want.Forecasts) {
+		t.Fatalf("%s: %d statuses / %d forecasts, full build %d / %d", label,
+			len(got.Statuses), len(got.Forecasts), len(want.Statuses), len(want.Forecasts))
+	}
+	for i, w := range want.Statuses {
+		g := got.Statuses[i]
+		if g.ID != w.ID || g.Category != w.Category || g.Strategy != w.Strategy || g.Algorithm != w.Algorithm ||
+			g.Donor != w.Donor || g.Err != w.Err ||
+			(math.Float64bits(g.ValidationMRE) != math.Float64bits(w.ValidationMRE) && !(math.IsNaN(g.ValidationMRE) && math.IsNaN(w.ValidationMRE))) {
+			t.Errorf("%s: status %s differs from full build:\n%+v\n%+v", label, w.ID, g, w)
+		}
+	}
+	for i, w := range want.Forecasts {
+		g := got.Forecasts[i]
+		if g.VehicleID != w.VehicleID || g.AsOfDay != w.AsOfDay || math.Float64bits(g.DaysLeft) != math.Float64bits(w.DaysLeft) ||
+			!g.DueDate.Equal(w.DueDate) || g.Strategy != w.Strategy {
+			t.Errorf("%s: forecast %s differs from full build: %+v vs %+v", label, w.VehicleID, g, w)
+		}
 	}
 }
 

@@ -5,8 +5,8 @@
 // daily utilization series U_v(t) that the prediction pipeline consumes.
 //
 // The real system (Tierra S.p.A. telematics) is proprietary and its data
-// is unavailable; this package is the documented substitution (DESIGN.md,
-// S1). It reproduces the statistical properties the paper reports —
+// is unavailable; this package is the documented substitution
+// (ARCHITECTURE.md, "Reproduction substitutions and ablations"). It reproduces the statistical properties the paper reports —
 // heterogeneous usage levels, weekly and annual seasonality, multi-week
 // idle periods, sudden site relocations, and the ~30 % lower utilization
 // during the first maintenance cycle — so that every downstream component
